@@ -19,9 +19,11 @@ pub type Channel = (RouterId, RouterId);
 
 /// Channel dependency graph for a set of routed paths.
 ///
-/// Ordered containers are used deliberately so that cycle detection (and
-/// therefore VC allocation, which breaks cycles it finds) is deterministic
-/// for a given seed.
+/// This is the straightforward, whole-graph form: it is the verification
+/// oracle behind [`verify_deadlock_free`](crate::vc::verify_deadlock_free)
+/// and the tests, independent of the incremental graph VC allocation uses.
+/// Ordered containers make [`find_cycle`](Self::find_cycle) report the same
+/// cycle on every run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChannelDependencyGraph {
     /// Adjacency: dependency edges between channels.

@@ -13,14 +13,18 @@
 //!   minimized.  An exact MILP lowering onto `netsmith-lp` is provided for
 //!   small instances and validation; the production engine is an
 //!   equivalent greedy + local-search optimizer.
-//! * [`cdg`] — channel dependency graph construction and cycle detection
-//!   (Dally & Seitz acyclicity criterion).
+//! * [`cdg`] — channel dependency graph construction and whole-graph cycle
+//!   detection (Dally & Seitz acyclicity criterion): the oracle that
+//!   deadlock-freedom verification and the tests check allocations with.
 //! * [`vc`] — DFSSSP-style partitioning of the selected paths into acyclic
-//!   routing subfunctions mapped onto escape virtual channels, plus
-//!   path-length-weighted VC load balancing.
+//!   routing subfunctions mapped onto escape virtual channels (greedy
+//!   first fit, longest paths first), plus path-length-weighted VC load
+//!   balancing; both passes check acyclicity incrementally, one dependency
+//!   at a time, on dense per-layer graphs.
 //! * [`table`] — the per-flow routing tables consumed by the simulator.
 
 pub mod cdg;
+mod incremental_cdg;
 pub mod mclb;
 pub mod ndbt;
 pub mod paths;

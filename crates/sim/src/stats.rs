@@ -12,7 +12,7 @@ const TAIL_OCTAVES: usize = 20;
 const TAIL_BINS: usize = BINS_PER_OCTAVE * TAIL_OCTAVES;
 
 /// Aggregated latency statistics over measured packets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     count: u64,
     total: f64,
@@ -20,31 +20,17 @@ pub struct LatencyStats {
     /// Latency histogram used for percentile estimates without storing
     /// every sample: 1-cycle bins up to 1024 cycles, then geometric bins
     /// ([`BINS_PER_OCTAVE`] per factor of two) so congested runs report
-    /// real tail percentiles instead of clamping to 1024.
+    /// real tail percentiles instead of clamping to 1024.  It ends at the
+    /// highest bin recorded (empty when nothing is), so equal samples give
+    /// equal histograms and a low-latency run stores a few hundred bins
+    /// instead of all of them.
     histogram: Vec<u64>,
-}
-
-/// `Default` must produce the same ready-to-record state as [`new`]: the
-/// derived implementation used to yield an *empty* histogram, so
-/// `LatencyStats::default().record(x)` underflowed on
-/// `self.histogram.len() - 1`.
-///
-/// [`new`]: LatencyStats::new
-impl Default for LatencyStats {
-    fn default() -> Self {
-        LatencyStats::new()
-    }
 }
 
 impl LatencyStats {
     /// Empty statistics.
     pub fn new() -> Self {
-        LatencyStats {
-            count: 0,
-            total: 0.0,
-            max: 0.0,
-            histogram: vec![0; LINEAR_BINS + TAIL_BINS],
-        }
+        Self::default()
     }
 
     /// The histogram bin for a latency: exact below the linear range,
@@ -78,7 +64,11 @@ impl LatencyStats {
         if latency_cycles > self.max {
             self.max = latency_cycles;
         }
-        self.histogram[Self::bin_of(latency_cycles)] += 1;
+        let bin = Self::bin_of(latency_cycles);
+        if bin >= self.histogram.len() {
+            self.histogram.resize(bin + 1, 0);
+        }
+        self.histogram[bin] += 1;
     }
 
     /// Number of recorded packets.
