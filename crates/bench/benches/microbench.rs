@@ -83,6 +83,12 @@ fn bench_metrics(c: &mut Criterion) {
     group.bench_function("sparsest_cut_heuristic_48r", |b| {
         b.iter(|| cuts::sparsest_cut_heuristic(&big, 8, 1))
     });
+    group.bench_function("metrics_4x5", |b| {
+        b.iter(|| metrics::TopologyMetrics::compute(&kite))
+    });
+    group.bench_function("metrics_8x6", |b| {
+        b.iter(|| metrics::TopologyMetrics::compute(&big))
+    });
     group.finish();
 }
 

@@ -102,7 +102,7 @@ pub mod row;
 pub mod runner;
 pub mod spec;
 
-pub use cache::{DiscoveryRequest, SuiteCache};
+pub use cache::{DiscoveryRequest, PreparedSlot, SuiteCache};
 pub use cli::{CliOptions, RunProfile, DEFAULT_SEED};
 /// The shared JSON tree (now home in `netsmith-topo`; re-exported so
 /// `netsmith_exp::json::Json` keeps working).

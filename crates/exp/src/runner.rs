@@ -1,7 +1,7 @@
 //! The experiment runner: candidate resolution through the suite cache,
 //! parallel cell execution, declarative assertion checking.
 
-use crate::cache::{DiscoveryRequest, SuiteCache};
+use crate::cache::{DiscoveryRequest, PreparedSlot, SuiteCache};
 use crate::cli::RunProfile;
 use crate::row::{OutputMode, Row};
 use crate::spec::{
@@ -13,7 +13,7 @@ use netsmith_obs::Obs;
 use netsmith_pool::WorkerPool;
 use netsmith_sim::SimConfig;
 use netsmith_topo::{expert, Layout, LinkClass, PipelineError, Topology};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The paper's virtual-channel budget, shared by every figure.
 pub const VC_BUDGET: usize = 6;
@@ -34,12 +34,14 @@ pub struct ResolvedCandidate {
     /// measurements never have to reconstruct it from cell indices.
     pub objective: Option<crate::spec::ObjectiveSpec>,
     prepare_seed: u64,
-    #[allow(clippy::type_complexity)]
-    prepared: Arc<OnceLock<Result<Arc<EvaluatedNetwork>, PipelineError>>>,
+    /// Shared through the [`SuiteCache`] with every candidate naming the
+    /// same topology, scheme and seed.
+    prepared: PreparedSlot,
 }
 
 impl ResolvedCandidate {
-    /// The routed, VC-allocated network; prepared on first use and shared.
+    /// The routed, VC-allocated network; prepared on first use and shared
+    /// suite-wide.
     /// The typed error names why preparation failed.
     pub fn try_network(&self) -> Result<Arc<EvaluatedNetwork>, PipelineError> {
         self.prepared
@@ -253,16 +255,19 @@ impl<'c> Runner<'c> {
             evaluations: self.profile.evals,
             workers: self.profile.workers,
         });
+        let scheme = RoutingScheme::Mclb;
         ResolvedCandidate {
             layout_spec,
             layout,
             class,
-            scheme: RoutingScheme::Mclb,
+            scheme,
+            prepared: self
+                .cache
+                .prepared_slot(&discovery.topology, scheme, self.profile.seed),
             topology: Arc::new(discovery.topology.clone()),
             discovery: Some(discovery),
             objective: Some(objective.clone()),
             prepare_seed: self.profile.seed,
-            prepared: Arc::new(OnceLock::new()),
         }
     }
 
@@ -273,16 +278,19 @@ impl<'c> Runner<'c> {
         class: LinkClass,
         topology: Topology,
     ) -> ResolvedCandidate {
+        let scheme = RoutingScheme::Ndbt;
         ResolvedCandidate {
             layout_spec,
             layout: layout_spec.layout(),
             class,
-            scheme: RoutingScheme::Ndbt,
+            scheme,
+            prepared: self
+                .cache
+                .prepared_slot(&topology, scheme, self.profile.seed),
             topology: Arc::new(topology),
             discovery: None,
             objective: None,
             prepare_seed: self.profile.seed,
-            prepared: Arc::new(OnceLock::new()),
         }
     }
 
@@ -328,9 +336,11 @@ impl<'c> Runner<'c> {
                                 for &scheme in schemes {
                                     let mut rerouted = candidate.clone();
                                     rerouted.scheme = scheme;
-                                    // A different scheme is a different
-                                    // preparation; drop the shared slot.
-                                    rerouted.prepared = Arc::new(OnceLock::new());
+                                    rerouted.prepared = self.cache.prepared_slot(
+                                        &rerouted.topology,
+                                        scheme,
+                                        rerouted.prepare_seed,
+                                    );
                                     resolved.push(rerouted);
                                 }
                             }

@@ -16,7 +16,7 @@ use netsmith_topo::{PipelineError, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Which routing scheme to apply to a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoutingScheme {
     /// NetSmith's maximum-channel-load-bottleneck routing (Table III).
     Mclb,

@@ -39,7 +39,9 @@ impl ChannelDependencyGraph {
     }
 
     /// Build the CDG induced by a set of paths.
-    pub fn from_paths<'a>(paths: impl IntoIterator<Item = &'a [RouterId]>) -> Self {
+    pub fn from_paths<'a, R: Copy + Into<usize> + 'a>(
+        paths: impl IntoIterator<Item = &'a [R]>,
+    ) -> Self {
         let mut cdg = Self::new();
         for p in paths {
             cdg.add_path(p);
@@ -53,7 +55,7 @@ impl ChannelDependencyGraph {
     }
 
     /// Add the dependencies induced by one path.
-    pub fn add_path(&mut self, path: &[RouterId]) {
+    pub fn add_path<R: Copy + Into<usize>>(&mut self, path: &[R]) {
         let links: Vec<Channel> = path_links(path).collect();
         for l in &links {
             self.channels.insert(*l);

@@ -51,8 +51,8 @@ impl ChannelIds {
     }
 
     /// Append the channel ids of a path's links to `out`.
-    pub(crate) fn extend_path(&mut self, path: &[RouterId], out: &mut Vec<u32>) {
-        out.extend(path.windows(2).map(|w| self.id(w[0], w[1])));
+    pub(crate) fn extend_path<R: Copy + Into<usize>>(&mut self, path: &[R], out: &mut Vec<u32>) {
+        out.extend(path.windows(2).map(|w| self.id(w[0].into(), w[1].into())));
     }
 }
 

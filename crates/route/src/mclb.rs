@@ -109,8 +109,7 @@ fn single_run(
     rng: &mut SmallRng,
     max_sweeps: usize,
 ) -> RoutingTable {
-    let n = paths.num_routers();
-    let mut table = RoutingTable::new(n, "MCLB");
+    let mut table = RoutingTable::for_paths(paths, "MCLB");
     // Selected path index per flow.
     let mut selected: HashMap<(usize, usize), usize> = HashMap::new();
     let mut loads: HashMap<(usize, usize), f64> = HashMap::new();
@@ -220,7 +219,6 @@ fn single_run(
 /// networks; returns `None` when the solver hits its budget without an
 /// incumbent.
 pub fn mclb_route_milp(paths: &PathSet, time_limit: Duration) -> Option<RoutingTable> {
-    let n = paths.num_routers();
     let mut model = Model::new(Sense::Minimize);
     // The min-max objective variable C_total (O1).
     let cmax = model.add_var(VarType::Continuous, 0.0, f64::INFINITY, 1.0, "cmax");
@@ -257,7 +255,7 @@ pub fn mclb_route_milp(paths: &PathSet, time_limit: Duration) -> Option<RoutingT
     if !sol.status.has_solution() {
         return None;
     }
-    let mut table = RoutingTable::new(n, "MCLB-MILP");
+    let mut table = RoutingTable::for_paths(paths, "MCLB-MILP");
     for ((s, d), vars) in &path_vars {
         let chosen = vars
             .iter()

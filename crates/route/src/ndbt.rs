@@ -42,7 +42,7 @@ pub fn doubles_back_horizontally(layout: &Layout, path: &[RouterId]) -> bool {
 /// fallbacks is returned alongside the table.
 pub fn ndbt_route(layout: &Layout, paths: &PathSet, seed: u64) -> (RoutingTable, usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut table = RoutingTable::new(paths.num_routers(), "NDBT");
+    let mut table = RoutingTable::for_paths(paths, "NDBT");
     let mut fallbacks = 0usize;
     for (s, d) in paths.flows() {
         let candidates = paths.paths(s, d);

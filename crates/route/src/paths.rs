@@ -125,13 +125,16 @@ fn enumerate_dag_paths(
 }
 
 /// Number of links (channels) traversed by a path.
-pub fn path_length(path: &[RouterId]) -> usize {
+pub fn path_length<R: Copy + Into<usize>>(path: &[R]) -> usize {
     path.len().saturating_sub(1)
 }
 
-/// The directed links traversed by a path, in order.
-pub fn path_links(path: &[RouterId]) -> impl Iterator<Item = (RouterId, RouterId)> + '_ {
-    path.windows(2).map(|w| (w[0], w[1]))
+/// The directed links traversed by a path, in order.  Paths may hold
+/// `RouterId`s or a routing table's 16-bit ids.
+pub fn path_links<R: Copy + Into<usize>>(
+    path: &[R],
+) -> impl Iterator<Item = (RouterId, RouterId)> + '_ {
+    path.windows(2).map(|w| (w[0].into(), w[1].into()))
 }
 
 #[cfg(test)]

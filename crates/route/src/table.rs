@@ -7,7 +7,7 @@
 //! the selected paths — the quantity MCLB minimizes the maximum of — and
 //! the corresponding expected saturation throughput.
 
-use crate::paths::{path_length, path_links};
+use crate::paths::{path_length, path_links, PathSet};
 use netsmith_topo::traffic::DemandMatrix;
 use netsmith_topo::{PipelineError, RouterId, Topology};
 use serde::{Deserialize, Serialize};
@@ -27,31 +27,65 @@ impl Flow {
 }
 
 /// Single-path routing table: one chosen path per flow.
+///
+/// Paths are stored compactly, which bounds a table to at most 65 536
+/// routers, at most 255 routers per path and fewer than 2²⁴ stored router
+/// entries (replaced paths included); [`RoutingTable::new`] and
+/// [`RoutingTable::set_path`] assert these limits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoutingTable {
     n: usize,
     /// `spans[s * n + d]` — where the flow's chosen router sequence sits in
-    /// `routers`, as `(start, len)`; `len == 0` when the pair is unroutable
-    /// / identical.
-    spans: Vec<(u32, u32)>,
-    /// Every chosen router sequence, back to back.  One buffer instead of
-    /// one allocation per path makes a 48-router table about a third
-    /// smaller; a replaced path of a different length is left behind as
-    /// garbage.
-    routers: Vec<RouterId>,
+    /// `routers`, packed as `start << 8 | len` (a 24-bit start, an 8-bit
+    /// length); `len == 0` when the pair is unroutable / identical.
+    spans: Vec<u32>,
+    /// Every chosen router sequence, back to back, as 16-bit router ids:
+    /// one buffer instead of one allocation per path.  A replaced path of a
+    /// different length is left behind as garbage.
+    routers: Vec<u16>,
     /// Name of the routing scheme that produced the table ("MCLB", "NDBT", …).
     scheme: String,
 }
 
+/// Bits of a packed span holding the path length.
+const LEN_BITS: u32 = 8;
+/// Longest storable path, in routers.
+const MAX_PATH_ROUTERS: usize = (1 << LEN_BITS) - 1;
+/// Exclusive bound on a path's start offset in the router buffer.
+const MAX_START: usize = 1 << (32 - LEN_BITS);
+
 impl RoutingTable {
-    /// Create an empty table for `n` routers.
+    /// Create an empty table for `n` routers (at most 65 536).
     pub fn new(n: usize, scheme: impl Into<String>) -> Self {
+        assert!(
+            n <= 1 << 16,
+            "routing tables hold at most 65536 routers, got {n}"
+        );
         RoutingTable {
             n,
-            spans: vec![(0, 0); n * n],
+            spans: vec![0; n * n],
             routers: Vec::new(),
             scheme: scheme.into(),
         }
+    }
+
+    /// An empty table sized for one shortest path per flow of `paths`, as
+    /// the routing schemes fill it: the router buffer is allocated once, at
+    /// its final size.
+    pub fn for_paths(paths: &PathSet, scheme: impl Into<String>) -> Self {
+        let mut table = RoutingTable::new(paths.num_routers(), scheme);
+        let routers = paths.flows().map(|(s, d)| paths.paths(s, d)[0].len()).sum();
+        table.routers.reserve_exact(routers);
+        table
+    }
+
+    /// `(start, len)` of the path stored for flow slot `slot`.
+    fn span(&self, slot: usize) -> (usize, usize) {
+        let packed = self.spans[slot];
+        (
+            (packed >> LEN_BITS) as usize,
+            (packed & MAX_PATH_ROUTERS as u32) as usize,
+        )
     }
 
     /// Number of routers.
@@ -74,10 +108,19 @@ impl RoutingTable {
             flow.dst,
             "path must end at the flow destination"
         );
-        let slot = &mut self.spans[flow.src * self.n + flow.dst];
-        let (start, len) = (slot.0 as usize, slot.1 as usize);
+        assert!(
+            path.len() <= MAX_PATH_ROUTERS,
+            "paths hold at most {MAX_PATH_ROUTERS} routers"
+        );
+        let slot = flow.src * self.n + flow.dst;
+        let (start, len) = self.span(slot);
+        let ids = path
+            .iter()
+            .map(|&r| u16::try_from(r).expect("router ids fit in 16 bits"));
         if len == path.len() {
-            self.routers[start..start + len].copy_from_slice(&path);
+            for (stored, id) in self.routers[start..start + len].iter_mut().zip(ids) {
+                *stored = id;
+            }
             return;
         }
         // Grow by an eighth rather than doubling: the buffer lives as long
@@ -87,31 +130,34 @@ impl RoutingTable {
             self.routers
                 .reserve_exact(path.len().max(self.routers.len() / 8));
         }
-        let start = u32::try_from(self.routers.len()).expect("routing table exceeds 2^32 hops");
-        *slot = (start, path.len() as u32);
-        self.routers.extend_from_slice(&path);
+        let start = self.routers.len();
+        assert!(start < MAX_START, "routing table exceeds 2^24 stored hops");
+        self.spans[slot] = (start as u32) << LEN_BITS | path.len() as u32;
+        self.routers.extend(ids);
     }
 
-    /// The chosen path for a flow.
-    pub fn path(&self, src: RouterId, dst: RouterId) -> Option<&[RouterId]> {
-        let (start, len) = self.spans[src * self.n + dst];
-        (len > 0).then(|| &self.routers[start as usize..(start + len) as usize])
+    /// The chosen path for a flow, as 16-bit router ids.
+    pub fn path(&self, src: RouterId, dst: RouterId) -> Option<&[u16]> {
+        let (start, len) = self.span(src * self.n + dst);
+        (len > 0).then(|| &self.routers[start..start + len])
     }
 
     /// Next hop for a packet of flow `(src, dst)` currently at `here`.
     pub fn next_hop(&self, src: RouterId, dst: RouterId, here: RouterId) -> Option<RouterId> {
         let path = self.path(src, dst)?;
-        let pos = path.iter().position(|&r| r == here)?;
-        path.get(pos + 1).copied()
+        let pos = path.iter().position(|&r| usize::from(r) == here)?;
+        path.get(pos + 1).map(|&r| r.into())
     }
 
     /// Number of routed flows.
     pub fn num_routed_flows(&self) -> usize {
-        self.spans.iter().filter(|&&(_, len)| len > 0).count()
+        (0..self.spans.len())
+            .filter(|&slot| self.span(slot).1 > 0)
+            .count()
     }
 
     /// Iterate over `(Flow, path)` pairs.
-    pub fn flows(&self) -> impl Iterator<Item = (Flow, &[RouterId])> + '_ {
+    pub fn flows(&self) -> impl Iterator<Item = (Flow, &[u16])> + '_ {
         let n = self.n;
         (0..n * n).filter_map(move |slot| {
             self.path(slot / n, slot % n)

@@ -126,7 +126,7 @@ pub fn allocate_vcs(
         .flows()
         .flat_map(|(_, p)| p.iter().copied())
         .max()
-        .map_or(0, |m| m + 1);
+        .map_or(0, |m| usize::from(m) + 1);
     let mut ids = ChannelIds::new(routers);
     let mut start = vec![0usize];
     let mut chans: Vec<u32> = Vec::new();
@@ -248,7 +248,7 @@ pub fn allocate_vcs(
 /// flows assigned to it must be acyclic.
 pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool {
     for vc in 0..alloc.num_vcs {
-        let members: Vec<&[usize]> = table
+        let members: Vec<&[u16]> = table
             .flows()
             .filter(|&(f, _)| alloc.get(f) == Some(vc))
             .map(|(_, p)| p)

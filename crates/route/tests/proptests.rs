@@ -81,7 +81,7 @@ proptest! {
             prop_assert!(alloc.escape_layers <= alloc.num_vcs.max(8));
             // Every per-VC CDG is acyclic by construction; the union need not be.
             for vc in 0..alloc.num_vcs {
-                let members: Vec<&[usize]> = table
+                let members: Vec<&[u16]> = table
                     .flows()
                     .filter(|&(f, _)| alloc.vc(f) == vc)
                     .map(|(_, p)| p)

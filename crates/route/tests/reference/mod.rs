@@ -49,7 +49,10 @@ pub fn reference_allocate_vcs(
     // placed in the lowest layer whose channel dependency graph stays
     // acyclic after adding the flow's path.  Ordered maps keep the
     // procedure deterministic for a given seed.
-    let paths: BTreeMap<Flow, Vec<usize>> = table.flows().map(|(f, p)| (f, p.to_vec())).collect();
+    let paths: BTreeMap<Flow, Vec<usize>> = table
+        .flows()
+        .map(|(f, p)| (f, p.iter().map(|&r| usize::from(r)).collect()))
+        .collect();
     let mut order: Vec<Flow> = paths.keys().copied().collect();
     {
         // Seeded shuffle, then stable sort by descending path length.

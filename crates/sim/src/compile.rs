@@ -53,6 +53,7 @@ use crate::inject::InjectionSchedule;
 use crate::network::{point_seed, EpochSample, EpochSeries, NetworkSim, SimReport};
 use crate::stats::LatencyStats;
 use netsmith_pool::WorkerPool;
+use netsmith_route::paths::path_links;
 use netsmith_route::{Flow, RoutingTable, VcAllocation};
 use netsmith_topo::{Layout, RouterId, Topology};
 use netsmith_trace::TraceCursor;
@@ -128,8 +129,8 @@ impl CompiledNetwork {
         for src in 0..n {
             for dst in 0..n {
                 if let Some(path) = table.path(src, dst) {
-                    for pair in path.windows(2) {
-                        hops.push(link_id[pair[0] * n + pair[1]]);
+                    for (a, b) in path_links(path) {
+                        hops.push(link_id[a * n + b]);
                     }
                 }
                 path_offsets.push(hops.len() as u32);
@@ -1614,10 +1615,10 @@ mod tests {
             let off = net.path_offsets[fi] as usize;
             let end = net.path_offsets[fi + 1] as usize;
             assert_eq!(end - off, path.len() - 1);
-            for (k, pair) in path.windows(2).enumerate() {
+            for (k, pair) in path_links(path).enumerate() {
                 let link = net.hops[off + k];
                 assert_ne!(link, NONE);
-                assert_eq!(net.links[link as usize], (pair[0], pair[1]));
+                assert_eq!(net.links[link as usize], pair);
             }
             assert_eq!(net.first_hop(fi as u32), net.hops[off]);
         }

@@ -27,7 +27,12 @@ pub fn cut_throughput_bound(topo: &Topology) -> f64 {
     if n < 2 {
         return 0.0;
     }
-    let cut = cuts::sparsest_cut(topo);
+    cut_bound_of(&cuts::sparsest_cut(topo), n)
+}
+
+/// The cut-based bound implied by the sparsest cut of an `n`-router
+/// network.
+pub(crate) fn cut_bound_of(cut: &cuts::CutReport, n: usize) -> f64 {
     cut.normalized_bandwidth * (n - 1) as f64
 }
 

@@ -2,20 +2,35 @@
 //!
 //! Bisection bandwidth (the traditional metric reported by the expert
 //! topology papers and in Table II) is the minimum number of links crossing
-//! any *balanced* bipartition of the routers.  The sparsest cut is the more
-//! general — and tighter — cut-based throughput bottleneck used by NetSmith
-//! as its bandwidth objective (constraint C6 of Table I): over every
-//! bipartition `(U, V)` of the routers, the crossing capacity is normalized
-//! by `|U| * |V|`, which is proportional to the uniform-traffic demand that
-//! must cross the cut.  For asymmetric topologies the minimum of the two
-//! directions is taken, because the weaker direction is the true bottleneck.
+//! any *balanced* bipartition of the routers: `|U|` and `|V|` differ by at
+//! most one.  The sparsest cut is the more general — and tighter —
+//! cut-based throughput bottleneck used by NetSmith as its bandwidth
+//! objective (constraint C6 of Table I): over every bipartition `(U, V)` of
+//! the routers, the crossing capacity is normalized by `|U| * |V|`, which is
+//! proportional to the uniform-traffic demand that must cross the cut.  For
+//! asymmetric topologies the minimum of the two directions is taken,
+//! because the weaker direction is the true bottleneck.
 //!
-//! For the paper's 20-router configurations the sparsest cut is computed
-//! exhaustively (2^19 bipartitions); for larger networks (30/48 routers) an
-//! exhaustive sweep is infeasible, so a seeded multi-start local-search
-//! (Kernighan–Lin style single-node moves) is used instead, which matches
-//! how we use the metric (as an optimization objective and reporting
-//! statistic, not a proof of optimality).
+//! **Exhaustive kernel** (up to [`EXHAUSTIVE_LIMIT`] routers, e.g. the
+//! paper's 20-router configurations).  Router 0 is pinned to `U` and the
+//! memberships of the other `n - 1` routers are enumerated in Gray-code
+//! order, so consecutive cuts differ by a single router.  Each router keeps
+//! its in- and out-neighbours as a bitmask; a flip updates both crossing
+//! counts from two popcounts (the flipped router's neighbours in `U`; its
+//! degrees give the rest), with no per-cut allocation and no link scan.
+//! One pass ([`analyse`]) yields the sparsest cut and the bisection
+//! together.  Equally sparse cuts resolve to the smallest membership mask,
+//! the cut an increasing-mask scan meets first.  The bisection accepts
+//! `|U|` of both `⌊n/2⌋` and `⌈n/2⌉`, so with router 0 pinned it still sees
+//! every balanced cut of an odd router count.
+//!
+//! **Heuristic kernel** (larger networks, 30/48 routers), where an
+//! exhaustive sweep is infeasible: seeded multi-start local search —
+//! Kernighan–Lin style single-router moves for the sparsest cut, balanced
+//! pair swaps for the bisection.  Each trial move is scored by a delta over
+//! the moving router's neighbour lists and a running `|U|`, O(degree) per
+//! trial.  This matches how we use the metric (as an optimization objective
+//! and reporting statistic, not a proof of optimality).
 
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
@@ -50,6 +65,15 @@ impl CutReport {
     }
 }
 
+/// Both cut metrics of one topology, as [`analyse`] computes them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CutSummary {
+    /// The sparsest cut, as [`sparsest_cut`] reports it.
+    pub sparsest: CutReport,
+    /// The bisection bandwidth, as [`bisection_bandwidth`] reports it.
+    pub bisection: f64,
+}
+
 /// Count directed links crossing a bipartition given membership flags
 /// (`true` = in `U`).  Returns `(U -> V, V -> U)`.
 pub fn crossing_links(topo: &Topology, in_u: &[bool]) -> (usize, usize) {
@@ -65,71 +89,181 @@ pub fn crossing_links(topo: &Topology, in_u: &[bool]) -> (usize, usize) {
     (fwd, bwd)
 }
 
-fn report_for(topo: &Topology, in_u: &[bool], exact: bool) -> CutReport {
-    let n = topo.num_routers();
-    let (fwd, bwd) = crossing_links(topo, in_u);
-    let size_u = in_u.iter().filter(|&&b| b).count();
+/// `min(fwd, bwd) / (|U| * |V|)`, infinite for a one-sided partition.
+fn normalized(fwd: usize, bwd: usize, size_u: usize, n: usize) -> f64 {
     let size_v = n - size_u;
-    let norm = if size_u == 0 || size_v == 0 {
+    if size_u == 0 || size_v == 0 {
         f64::INFINITY
     } else {
         fwd.min(bwd) as f64 / (size_u * size_v) as f64
-    };
+    }
+}
+
+fn report(partition: Vec<usize>, n: usize, fwd: usize, bwd: usize, exact: bool) -> CutReport {
+    let size_u = partition.len();
+    let size_v = n - size_u;
     CutReport {
-        partition: (0..n).filter(|&i| in_u[i]).collect(),
+        partition,
         crossing_forward: fwd,
         crossing_backward: bwd,
-        normalized_bandwidth: norm,
-        is_bisection: size_u == size_v || size_u.abs_diff(size_v) == 1,
+        normalized_bandwidth: normalized(fwd, bwd, size_u, n),
+        is_bisection: size_u.abs_diff(size_v) <= 1,
         exact,
     }
 }
 
-/// Exhaustive sparsest cut over all bipartitions (requires `n <=
-/// EXHAUSTIVE_LIMIT`).  The partition containing router 0 is fixed to `U`
-/// to avoid enumerating mirror-image cuts twice.
-pub fn sparsest_cut_exhaustive(topo: &Topology) -> CutReport {
+/// Sparsest cut and bisection bandwidth in one call, each computed as
+/// [`sparsest_cut`] and [`bisection_bandwidth`] would: one Gray-code pass
+/// when the router count permits, the two heuristics otherwise.
+pub fn analyse(topo: &Topology) -> CutSummary {
+    if topo.num_routers() <= EXHAUSTIVE_LIMIT {
+        gray_pass(topo)
+    } else {
+        CutSummary {
+            sparsest: sparsest_cut_heuristic(topo, 32, 0x5EEDCA7),
+            bisection: bisection_heuristic(topo, 64, 0xB15EC),
+        }
+    }
+}
+
+/// The exhaustive kernel: every bipartition with router 0 in `U`, visited
+/// in Gray-code order over the memberships of routers `1..n`.
+fn gray_pass(topo: &Topology) -> CutSummary {
     let n = topo.num_routers();
     assert!(
         n <= EXHAUSTIVE_LIMIT,
         "exhaustive sparsest cut limited to {EXHAUSTIVE_LIMIT} routers"
     );
     assert!(n >= 2);
-    // Collect links once for the inner loop.
-    let links: Vec<(usize, usize)> = topo.links().collect();
-    let mut best: Option<(f64, Vec<bool>)> = None;
-    // Router 0 always in U; enumerate membership of routers 1..n.
-    let combos: u64 = 1u64 << (n - 1);
-    for mask in 0..combos {
-        let mut in_u = vec![false; n];
-        in_u[0] = true;
-        let mut size_u = 1usize;
-        for b in 0..(n - 1) {
-            if (mask >> b) & 1 == 1 {
-                in_u[b + 1] = true;
-                size_u += 1;
-            }
+    // Bit `j` of `out[i]` (`inn[i]`) is set when the link i -> j (j -> i)
+    // exists; bit `r` of `u` is set when router `r` is in U.
+    let mut out = vec![0u32; n];
+    let mut inn = vec![0u32; n];
+    for (i, j) in topo.links() {
+        out[i] |= 1 << j;
+        inn[j] |= 1 << i;
+    }
+    let out_degree: Vec<usize> = out.iter().map(|m| m.count_ones() as usize).collect();
+    let in_degree: Vec<usize> = inn.iter().map(|m| m.count_ones() as usize).collect();
+    let mut u = 1u32;
+    let mut size_u = 1;
+    let mut fwd = out_degree[0];
+    let mut bwd = in_degree[0];
+    let balanced = [n / 2, n - n / 2];
+    // The sparsest cut so far as (crossing, |U| * |V|, u, fwd, bwd), starting
+    // from U = {0}.  Cuts compare as exact fractions crossing / (|U| * |V|);
+    // at these sizes distinct fractions are distinct doubles, so the order
+    // is the one the normalized bandwidths have.
+    let mut best = (fwd.min(bwd), n - 1, u, fwd, bwd);
+    let mut bisection = if balanced.contains(&1) {
+        fwd.min(bwd)
+    } else {
+        usize::MAX
+    };
+    for step in 1u32..1 << (n - 1) {
+        // Gray code: step `k` flips the router of `k`'s lowest set bit.
+        let r = step.trailing_zeros() as usize + 1;
+        let bit = 1u32 << r;
+        let rest = u & !bit;
+        let out_u = (out[r] & rest).count_ones() as usize;
+        let out_v = out_degree[r] - out_u;
+        let in_u = (inn[r] & rest).count_ones() as usize;
+        let in_v = in_degree[r] - in_u;
+        if u & bit == 0 {
+            // V -> U: its links to V now leave U, links from U stop doing so.
+            fwd = fwd + out_v - in_u;
+            bwd = bwd + in_v - out_u;
+            size_u += 1;
+        } else {
+            fwd = fwd + in_u - out_v;
+            bwd = bwd + out_u - in_v;
+            size_u -= 1;
         }
+        u ^= bit;
         if size_u == n {
             continue; // V must be non-empty
         }
-        let size_v = n - size_u;
-        let mut fwd = 0usize;
-        let mut bwd = 0usize;
-        for &(i, j) in &links {
-            match (in_u[i], in_u[j]) {
-                (true, false) => fwd += 1,
-                (false, true) => bwd += 1,
-                _ => {}
-            }
+        let crossing = fwd.min(bwd);
+        let pairs = size_u * (n - size_u);
+        let (lhs, rhs) = (crossing * best.1, best.0 * pairs);
+        if lhs < rhs || (lhs == rhs && u < best.2) {
+            best = (crossing, pairs, u, fwd, bwd);
         }
-        let norm = fwd.min(bwd) as f64 / (size_u * size_v) as f64;
-        if best.as_ref().is_none_or(|(b, _)| norm < *b) {
-            best = Some((norm, in_u));
+        if balanced.contains(&size_u) {
+            bisection = bisection.min(crossing);
         }
     }
-    let (_, in_u) = best.expect("at least one cut exists");
-    report_for(topo, &in_u, true)
+    let (_, _, members, fwd, bwd) = best;
+    let partition = (0..n).filter(|&r| members >> r & 1 == 1).collect();
+    CutSummary {
+        sparsest: report(partition, n, fwd, bwd, true),
+        bisection: bisection as f64,
+    }
+}
+
+/// Exhaustive sparsest cut over all bipartitions (requires `2 <= n <=
+/// EXHAUSTIVE_LIMIT`).  The partition containing router 0 is fixed to `U`
+/// to avoid enumerating mirror-image cuts twice.
+pub fn sparsest_cut_exhaustive(topo: &Topology) -> CutReport {
+    gray_pass(topo).sparsest
+}
+
+/// A bipartition under local search: membership, both crossing counts and
+/// `|U|`, updated per move from the moving router's neighbour lists.
+struct LocalCut {
+    out: Vec<Vec<usize>>,
+    inn: Vec<Vec<usize>>,
+    in_u: Vec<bool>,
+    fwd: usize,
+    bwd: usize,
+    size_u: usize,
+}
+
+impl LocalCut {
+    /// The bipartition `in_u` (`true` = in `U`) of `topo`.
+    fn new(topo: &Topology, in_u: Vec<bool>) -> Self {
+        let n = topo.num_routers();
+        let (fwd, bwd) = crossing_links(topo, &in_u);
+        LocalCut {
+            out: (0..n).map(|i| topo.neighbours_out(i)).collect(),
+            inn: (0..n).map(|i| topo.neighbours_in(i)).collect(),
+            size_u: in_u.iter().filter(|&&b| b).count(),
+            in_u,
+            fwd,
+            bwd,
+        }
+    }
+
+    /// `(fwd, bwd)` after moving router `r` to the other side.
+    fn moved(&self, r: usize) -> (usize, usize) {
+        let out_u = self.out[r].iter().filter(|&&j| self.in_u[j]).count();
+        let out_v = self.out[r].len() - out_u;
+        let in_u = self.inn[r].iter().filter(|&&j| self.in_u[j]).count();
+        let in_v = self.inn[r].len() - in_u;
+        if self.in_u[r] {
+            (self.fwd + in_u - out_v, self.bwd + out_u - in_v)
+        } else {
+            (self.fwd + out_v - in_u, self.bwd + in_v - out_u)
+        }
+    }
+
+    /// Move router `r` to the other side; `counts` is its `moved(r)`.
+    fn apply(&mut self, r: usize, (fwd, bwd): (usize, usize)) {
+        self.in_u[r] = !self.in_u[r];
+        if self.in_u[r] {
+            self.size_u += 1;
+        } else {
+            self.size_u -= 1;
+        }
+        self.fwd = fwd;
+        self.bwd = bwd;
+    }
+
+    fn report(&self) -> CutReport {
+        let n = self.in_u.len();
+        let partition = (0..n).filter(|&i| self.in_u[i]).collect();
+        report(partition, n, self.fwd, self.bwd, false)
+    }
 }
 
 /// Heuristic sparsest cut: multi-start single-node-move local search.
@@ -150,23 +284,24 @@ pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutR
                 break;
             }
         }
+        let mut cut = LocalCut::new(topo, in_u);
         // Greedy single-node moves until no improvement.
-        let mut current = report_for(topo, &in_u, false);
+        let mut current = normalized(cut.fwd, cut.bwd, cut.size_u, n);
         loop {
             let mut improved = false;
             for v in 0..n {
-                let size_u = in_u.iter().filter(|&&b| b).count();
                 // Keep both sides non-empty.
-                if (in_u[v] && size_u == 1) || (!in_u[v] && size_u == n - 1) {
+                let size_u = cut.size_u;
+                if (cut.in_u[v] && size_u == 1) || (!cut.in_u[v] && size_u == n - 1) {
                     continue;
                 }
-                in_u[v] = !in_u[v];
-                let candidate = report_for(topo, &in_u, false);
-                if candidate.normalized_bandwidth < current.normalized_bandwidth - 1e-12 {
+                let (fwd, bwd) = cut.moved(v);
+                let size_after = if cut.in_u[v] { size_u - 1 } else { size_u + 1 };
+                let candidate = normalized(fwd, bwd, size_after, n);
+                if candidate < current - 1e-12 {
+                    cut.apply(v, (fwd, bwd));
                     current = candidate;
                     improved = true;
-                } else {
-                    in_u[v] = !in_u[v];
                 }
             }
             if !improved {
@@ -175,9 +310,9 @@ pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutR
         }
         if best
             .as_ref()
-            .is_none_or(|b| current.normalized_bandwidth < b.normalized_bandwidth)
+            .is_none_or(|b| current < b.normalized_bandwidth)
         {
-            best = Some(current);
+            best = Some(cut.report());
         }
     }
     best.expect("at least one start")
@@ -198,49 +333,21 @@ pub fn sparsest_cut(topo: &Topology) -> CutReport {
 /// heuristic restricted to balanced partitions is used.  The value reported
 /// matches how the expert-topology papers count it: number of (full-duplex)
 /// links crossing the bisection, i.e. the directed crossing count of the
-/// weaker direction.
+/// weaker direction.  A single router has no bisection (infinite).
 pub fn bisection_bandwidth(topo: &Topology) -> f64 {
     let n = topo.num_routers();
-    if n <= EXHAUSTIVE_LIMIT {
-        bisection_exhaustive(topo)
+    if n < 2 {
+        f64::INFINITY
+    } else if n <= EXHAUSTIVE_LIMIT {
+        gray_pass(topo).bisection
     } else {
         bisection_heuristic(topo, 64, 0xB15EC)
     }
 }
 
-fn bisection_exhaustive(topo: &Topology) -> f64 {
-    let n = topo.num_routers();
-    let half = n / 2;
-    let links: Vec<(usize, usize)> = topo.links().collect();
-    let mut best = f64::INFINITY;
-    let combos: u64 = 1u64 << (n - 1);
-    for mask in 0..combos {
-        let size_u = 1 + mask.count_ones() as usize;
-        if size_u != half {
-            continue;
-        }
-        let mut in_u = vec![false; n];
-        in_u[0] = true;
-        for b in 0..(n - 1) {
-            if (mask >> b) & 1 == 1 {
-                in_u[b + 1] = true;
-            }
-        }
-        let mut fwd = 0usize;
-        let mut bwd = 0usize;
-        for &(i, j) in &links {
-            match (in_u[i], in_u[j]) {
-                (true, false) => fwd += 1,
-                (false, true) => bwd += 1,
-                _ => {}
-            }
-        }
-        best = best.min(fwd.min(bwd) as f64);
-    }
-    best
-}
-
-fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
+/// Heuristic bisection bandwidth: multi-start balanced pair-swap local
+/// search from seeded random balanced partitions.
+pub fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
     let n = topo.num_routers();
     let half = n / 2;
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -256,36 +363,33 @@ fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
         for &r in order.iter().take(half) {
             in_u[r] = true;
         }
-        // Pairwise swap local search maintaining balance.  After an accepted
-        // swap the current `a` is no longer in U, so the inner scan must be
-        // restarted (otherwise further swaps would unbalance the partition).
-        let mut current = {
-            let (f, b) = crossing_links(topo, &in_u);
-            f.min(b) as f64
-        };
+        let mut cut = LocalCut::new(topo, in_u);
+        // Pairwise swap local search maintaining balance: move `a` out of
+        // U, then try each `b` of V in its place.  After an accepted swap
+        // the scan restarts from the first router of U.
+        let mut current = cut.fwd.min(cut.bwd) as f64;
         loop {
             let mut improved = false;
             'outer: for a in 0..n {
-                if !in_u[a] {
+                if !cut.in_u[a] {
                     continue;
                 }
+                let before = (cut.fwd, cut.bwd);
+                cut.apply(a, cut.moved(a));
                 for b in 0..n {
-                    if in_u[b] {
+                    if b == a || cut.in_u[b] {
                         continue;
                     }
-                    in_u[a] = false;
-                    in_u[b] = true;
-                    let (f, w) = crossing_links(topo, &in_u);
-                    let cand = f.min(w) as f64;
-                    if cand < current {
-                        current = cand;
+                    let (fwd, bwd) = cut.moved(b);
+                    let candidate = fwd.min(bwd) as f64;
+                    if candidate < current {
+                        cut.apply(b, (fwd, bwd));
+                        current = candidate;
                         improved = true;
                         break 'outer;
-                    } else {
-                        in_u[a] = true;
-                        in_u[b] = false;
                     }
                 }
+                cut.apply(a, before);
             }
             if !improved {
                 break;
@@ -343,8 +447,11 @@ mod tests {
 
     #[test]
     fn asymmetric_direction_minimum_is_used() {
-        // Two routers connected one way only: the reverse direction has zero
-        // capacity, so the sparsest cut must be zero.
+        // A 4-cycle whose 2 -> 0 link has no reverse.  The cut {0, 1} vs
+        // {2, 3} crosses forward only on 1 -> 3 and backward on 3 -> 1 and
+        // 2 -> 0, so its weaker direction gives 1 / (2 * 2) = 0.25, the
+        // minimum over all cuts.  Taking the stronger direction instead
+        // would make the sparsest value 0.5.
         let layout = Layout::interposer_grid(2, 2, 4);
         let mut t = Topology::empty("one-way", layout, LinkClass::Large);
         t.add_link(0, 1);
@@ -354,9 +461,10 @@ mod tests {
         t.add_link(3, 2);
         t.add_link(2, 3);
         t.add_link(2, 0);
-        // Missing 0 -> 2 reverse: cut {0,1} vs {2,3} has fwd 1 (1->3? no..)
         let cut = sparsest_cut_exhaustive(&t);
-        assert!(cut.normalized_bandwidth <= 0.25 + 1e-12);
+        assert_eq!(cut.normalized_bandwidth, 0.25);
+        assert_eq!(cut.partition, vec![0, 1]);
+        assert_eq!((cut.crossing_forward, cut.crossing_backward), (1, 2));
     }
 
     #[test]
@@ -370,6 +478,34 @@ mod tests {
         let (f, b) = crossing_links(&t, &in_u);
         assert_eq!(f, 2);
         assert_eq!(b, 1);
+    }
+
+    #[test]
+    fn odd_bisection_sees_router_zero_on_the_larger_side() {
+        // Two bidirectional rings, 1-2-3-4 and 0-5-6-7-8, bridged by 4-5.
+        // The balanced 4/5 cut between the rings crosses one link each
+        // way, but it puts router 0 on the larger side: every balanced cut
+        // with router 0 among four routers splits a ring, crossing two.
+        let layout = Layout::interposer_grid(3, 3, 4);
+        let t = Topology::from_bidirectional_links(
+            "two-rings",
+            layout,
+            LinkClass::Custom(LinkSpan::new(8, 8)),
+            &[
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 1),
+                (0, 5),
+                (5, 6),
+                (6, 7),
+                (7, 8),
+                (8, 0),
+                (4, 5),
+            ],
+        );
+        assert_eq!(bisection_bandwidth(&t), 1.0);
+        assert_eq!(analyse(&t).bisection, 1.0);
     }
 
     #[test]
@@ -389,6 +525,16 @@ mod tests {
         let mesh = expert::mesh(&layout);
         let torus = expert::folded_torus(&layout);
         assert!(bisection_bandwidth(&torus) > bisection_bandwidth(&mesh));
+    }
+
+    #[test]
+    fn analyse_matches_the_separate_calls() {
+        for layout in [Layout::noi_4x5(), Layout::noi_6x5()] {
+            let torus = expert::folded_torus(&layout);
+            let summary = analyse(&torus);
+            assert_eq!(summary.sparsest, sparsest_cut(&torus));
+            assert_eq!(summary.bisection, bisection_bandwidth(&torus));
+        }
     }
 
     #[test]

@@ -366,7 +366,12 @@ fn greedy_fill_symmetric(t: &mut Topology) {
     let class = t.class();
     let n = layout.num_routers();
     loop {
+        // Candidates are scored from the current distances, with no BFS
+        // each: a shortest path uses at most one of the two new links, so
+        // with a <-> b added, s -> d takes the least of d(s, d),
+        // d(s, a) + 1 + d(b, d) and d(s, b) + 1 + d(a, d).
         let base = metrics::total_hops(t).unwrap_or(u64::MAX);
+        let dist = metrics::all_pairs_hops(t);
         let mut best: Option<(u64, usize, (RouterId, RouterId))> = None;
         for a in 0..n {
             for b in (a + 1)..n {
@@ -384,10 +389,7 @@ fn greedy_fill_symmetric(t: &mut Topology) {
                 {
                     continue;
                 }
-                t.add_bidirectional(a, b);
-                let hops = metrics::total_hops(t).unwrap_or(u64::MAX);
-                t.remove_link(a, b);
-                t.remove_link(b, a);
+                let hops = total_hops_with(&dist, n, (a, b));
                 let span_len = dx + dy;
                 let candidate = (hops, span_len, (a, b));
                 if best
@@ -407,10 +409,90 @@ fn greedy_fill_symmetric(t: &mut Topology) {
     }
 }
 
+/// Total hop count over ordered pairs once the bidirectional link `a <-> b`
+/// joins a topology with all-pairs distances `dist`; `u64::MAX` when a pair
+/// stays unreachable (as `total_hops(..).unwrap_or(u64::MAX)`).
+fn total_hops_with(dist: &[u32], n: usize, (a, b): (RouterId, RouterId)) -> u64 {
+    // Distances widen to u64, so a detour through an unreachable leg sums
+    // past `UNREACHABLE` instead of wrapping.
+    let at = |s: usize, d: usize| u64::from(dist[s * n + d]);
+    let mut total = 0u64;
+    for s in 0..n {
+        for d in 0..n {
+            if s == d {
+                continue;
+            }
+            let h = at(s, d)
+                .min(at(s, a) + 1 + at(b, d))
+                .min(at(s, b) + 1 + at(a, d));
+            if h >= u64::from(metrics::UNREACHABLE) {
+                return u64::MAX;
+            }
+            total += h;
+        }
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cuts;
+
+    /// The greedy fill as first written, re-running a BFS per candidate:
+    /// the oracle for the distance-matrix scoring.
+    fn greedy_fill_by_bfs(t: &mut Topology) {
+        let layout = t.layout().clone();
+        let n = layout.num_routers();
+        loop {
+            let base = metrics::total_hops(t).unwrap_or(u64::MAX);
+            let mut best: Option<(u64, usize, (RouterId, RouterId))> = None;
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let (dx, dy) = layout.span(a, b);
+                    if t.has_link(a, b)
+                        || t.has_link(b, a)
+                        || !t.class().allows(LinkSpan::new(dx, dy))
+                        || [a, b]
+                            .iter()
+                            .any(|&r| t.free_out_ports(r) == 0 || t.free_in_ports(r) == 0)
+                    {
+                        continue;
+                    }
+                    t.add_bidirectional(a, b);
+                    let hops = metrics::total_hops(t).unwrap_or(u64::MAX);
+                    t.remove_link(a, b);
+                    t.remove_link(b, a);
+                    if best.is_none_or(|cur| (hops, dx + dy, (a, b)) < cur) {
+                        best = Some((hops, dx + dy, (a, b)));
+                    }
+                }
+            }
+            match best {
+                Some((hops, _, (a, b))) if hops < base => t.add_bidirectional(a, b),
+                _ => break,
+            }
+        }
+    }
+
+    #[test]
+    fn kite_fill_matches_the_bfs_greedy() {
+        let mut layouts = vec![Layout::noi_4x5(), Layout::noi_6x5()];
+        if !cfg!(debug_assertions) {
+            layouts.push(Layout::noi_8x6());
+        }
+        for layout in layouts {
+            for class in LinkClass::STANDARD {
+                let mut expected = Topology::empty("k", layout.clone(), class);
+                for (a, b) in hamiltonian_ring(&layout) {
+                    expected.add_bidirectional(a, b);
+                }
+                greedy_fill_by_bfs(&mut expected);
+                let kite = kite(&layout, class);
+                assert_eq!(kite.adjacency(), expected.adjacency(), "{class:?}");
+            }
+        }
+    }
 
     #[test]
     fn mesh_4x5_link_count() {

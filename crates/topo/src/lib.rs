@@ -48,7 +48,7 @@ pub mod viz;
 
 pub use analysis::TopoAnalysis;
 pub use bounds::{cut_throughput_bound, occupancy_throughput_bound, ThroughputBounds};
-pub use cuts::{bisection_bandwidth, sparsest_cut, CutReport};
+pub use cuts::{bisection_bandwidth, sparsest_cut, CutReport, CutSummary};
 pub use error::PipelineError;
 pub use layout::{Layout, NodeKind, RouterId};
 pub use linkclass::{LinkClass, LinkSpan};

@@ -9,9 +9,9 @@
 //! and is used both by the metric reports and by the optimizer's
 //! incremental evaluation.
 
-use crate::cuts;
 use crate::topology::Topology;
 use crate::traffic::DemandMatrix;
+use crate::{bounds, cuts};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -208,20 +208,23 @@ pub struct TopologyMetrics {
 }
 
 impl TopologyMetrics {
-    /// Compute the full metric report for a topology.
+    /// Compute the full metric report for a topology.  One cut pass
+    /// ([`cuts::analyse`]) supplies the bisection, the sparsest cut and the
+    /// cut bound.
     pub fn compute(topo: &Topology) -> Self {
-        let bounds = crate::bounds::ThroughputBounds::compute(topo);
+        let n = topo.num_routers();
+        let cuts = cuts::analyse(topo);
         TopologyMetrics {
             name: topo.name().to_string(),
             class: topo.class().name(),
-            num_routers: topo.num_routers(),
+            num_routers: n,
             num_links: topo.num_links(),
             diameter: diameter(topo),
             average_hops: average_hops(topo),
-            bisection_bandwidth: cuts::bisection_bandwidth(topo),
-            sparsest_cut: cuts::sparsest_cut(topo).normalized_bandwidth,
-            cut_bound: bounds.cut_bound,
-            occupancy_bound: bounds.occupancy_bound,
+            bisection_bandwidth: cuts.bisection,
+            sparsest_cut: cuts.sparsest.normalized_bandwidth,
+            cut_bound: bounds::cut_bound_of(&cuts.sparsest, n),
+            occupancy_bound: bounds::occupancy_throughput_bound(topo),
         }
     }
 
