@@ -1,4 +1,4 @@
-//! The tracked performance target (`BENCH_10.json`).
+//! The tracked performance target (the newest `BENCH_<n>.json`).
 //!
 //! Measures simulator throughput on the fig08/fig11 simulation
 //! configurations, a trace-replay throughput probe (the fig15 workload:
@@ -10,19 +10,24 @@
 //! a `serving_horizon` probe (a fig16-style closed-loop link-sleep
 //! lifetime on the folded torus, timed end to end), and `suite --quick`
 //! wall-clock, then writes everything — alongside the frozen pre-rework
-//! baseline — to `BENCH_10.json` at the workspace root.
+//! baseline — to the tracked file at the workspace root.
+//!
+//! The tracked file is the `BENCH_<n>.json` at the workspace root with the
+//! largest `n` (compared as numbers, so `BENCH_10` beats `BENCH_9`); a
+//! perf change renames it to the next number and re-records it.
 //!
 //! Modes:
-//! * default / `--record` — measure and rewrite `BENCH_10.json` (with
+//! * default / `--record` — measure and rewrite the tracked file (with
 //!   `--probe`, measure and print just that probe; the file is only
 //!   rewritten by a full record).
-//! * `--check` — parse the committed `BENCH_10.json` and gate every probe
-//!   against its recorded value: the flit-throughput probes must stay
-//!   above `recorded flits/sec ÷ tolerance`, the timed probes below
-//!   `recorded × tolerance`.  The tolerance (`PERF_CHECK_TOLERANCE`,
-//!   default 1.25×) absorbs container scheduling noise — sustained
-//!   regressions past 25% fail CI directly, per-probe, not just through
-//!   suite wall-clock.
+//! * `--check` — parse the tracked file and gate every probe against its
+//!   recorded value: the flit-throughput probes must stay above
+//!   `recorded flits/sec ÷ tolerance`, the timed probes below
+//!   `recorded × tolerance`.  The tolerance (`PERF_CHECK_TOLERANCE`, a
+//!   finite factor ≥ 1, default 1.25×) absorbs container scheduling
+//!   noise — sustained regressions past 25% fail CI directly, per-probe,
+//!   not just through suite wall-clock.  Any other value is a usage
+//!   error.
 //!
 //! Flags:
 //! * `--probe <name>` — run a single probe (one of `fig08_sim`,
@@ -44,7 +49,7 @@ use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
 use netsmith_sim::{NetworkSim, SimConfig};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, LinkClass, Topology};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
@@ -57,6 +62,9 @@ const BASELINE_SIM5000_MEDIAN_MS: f64 = 4.425;
 const BASELINE_SUITE_QUICK_SECONDS: f64 = 25.4;
 
 const DEFAULT_SAMPLES: usize = 15;
+
+/// `--check` tolerance factor when `PERF_CHECK_TOLERANCE` is unset.
+const DEFAULT_TOLERANCE: f64 = 1.25;
 
 /// Evaluation budget of the obs overhead probe (small enough that the
 /// 2 × 15-sample protocol stays in single-digit seconds).
@@ -72,8 +80,57 @@ const PROBES: &[&str] = &[
     "suite_quick",
 ];
 
+/// The number `n` of a file named `BENCH_<n>.json` (decimal digits only).
+fn bench_number(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// The `BENCH_<n>.json` name with the largest `n` among `names`.
+fn newest_bench<'a>(names: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    names
+        .into_iter()
+        .filter_map(|name| bench_number(name).map(|n| (n, name)))
+        .max()
+        .map(|(_, name)| name)
+}
+
+/// The tracked file: the newest `BENCH_<n>.json` at the workspace root.
+/// Exits with an error naming the directory when there is none.
 fn bench_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_10.json")
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let names: Vec<String> = std::fs::read_dir(&root)
+        .unwrap_or_else(|e| panic!("read {}: {e}", root.display()))
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .collect();
+    match newest_bench(names.iter().map(String::as_str)) {
+        Some(name) => root.join(name),
+        None => {
+            eprintln!(
+                "perf: no BENCH_<n>.json in {}; restore the tracked file from git",
+                root.display()
+            );
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Parse a `PERF_CHECK_TOLERANCE` value: a finite factor of at least 1
+/// (a factor below 1 would fail a probe that merely matches its record).
+fn parse_tolerance(raw: &str) -> Result<f64, String> {
+    let value: f64 = raw
+        .trim()
+        .parse()
+        .map_err(|_| format!("PERF_CHECK_TOLERANCE={raw:?} is not a number"))?;
+    if !value.is_finite() || value < 1.0 {
+        return Err(format!(
+            "PERF_CHECK_TOLERANCE={raw:?} must be a finite factor >= 1"
+        ));
+    }
+    Ok(value)
 }
 
 /// Sweep repetitions for the single-sweep throughput probes: each sweep
@@ -385,6 +442,9 @@ fn print_sim(name: &str, r: &SimBenchResult, baseline: f64) {
 }
 
 fn record(probe: Option<&str>, samples: usize) {
+    // Resolve the tracked file before measuring, so a missing one fails
+    // at once rather than after the whole run.
+    let path = probe.is_none().then(bench_path);
     let config = SimConfig::for_class(LinkClass::Medium);
     let run = |name: &str| probe.is_none() || probe == Some(name);
 
@@ -470,10 +530,14 @@ fn record(probe: Option<&str>, samples: usize) {
         suite_seconds = Some(s);
     }
 
-    if probe.is_some() {
+    let Some(path) = path else {
         // Single-probe iteration: print-only, keep the committed artifact.
         return;
-    }
+    };
+    let number = path
+        .file_name()
+        .and_then(|name| bench_number(name.to_str()?))
+        .expect("bench_path names a BENCH_<n>.json");
     let (fig08, fig11, trace) = (fig08.unwrap(), fig11.unwrap(), trace.unwrap());
     let (sim5000, obs, serving) = (sim5000.unwrap(), obs.unwrap(), serving.unwrap());
     let suite_seconds = suite_seconds.unwrap();
@@ -490,7 +554,7 @@ fn record(probe: Option<&str>, samples: usize) {
         ])
     };
     let doc = obj(vec![
-        ("bench", Json::Num(10.0)),
+        ("bench", Json::Num(number as f64)),
         (
             "note",
             Json::Str(
@@ -601,42 +665,42 @@ fn record(probe: Option<&str>, samples: usize) {
     let mut text = String::new();
     pretty(&doc, 0, &mut text);
     text.push('\n');
-    Json::parse(&text).expect("emitted BENCH_10.json must parse");
-    let path = bench_path();
+    Json::parse(&text).expect("emitted benchmark record must parse");
     std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("# perf: wrote {}", path.display());
 }
 
 /// Read `current.<probe>.<field>` out of the committed artifact.
-fn recorded(doc: &Json, probe: &str, field: &str) -> f64 {
+fn recorded(doc: &Json, path: &Path, probe: &str, field: &str) -> f64 {
     doc.require("current")
         .and_then(|c| c.require(probe))
         .and_then(|s| s.require(field))
         .and_then(Json::as_f64)
-        .unwrap_or_else(|e| panic!("BENCH_10.json: current.{probe}.{field}: {e}"))
+        .unwrap_or_else(|e| panic!("{}: current.{probe}.{field}: {e}", path.display()))
 }
 
-fn check(probe: Option<&str>, samples: usize) {
+/// Gate every selected probe against the tracked file.  `tolerance`
+/// absorbs run-to-run container noise (the probes are single-shot
+/// wall-clock measurements on a shared box); the default 25% headroom
+/// keeps the gates quiet on scheduling jitter while still catching any
+/// real hot-loop regression.
+fn check(probe: Option<&str>, samples: usize, tolerance: f64) {
     let path = bench_path();
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let doc = Json::parse(&text).expect("BENCH_10.json must parse");
-    // The tolerance absorbs run-to-run container noise (the probes are
-    // single-shot wall-clock measurements on a shared box); 25% headroom
-    // keeps the gates quiet on scheduling jitter while still catching
-    // any real hot-loop regression.
-    let tolerance = std::env::var("PERF_CHECK_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.25);
-    eprintln!("# perf --check: tolerance {tolerance}x over recorded values");
+    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
+    let recorded = |probe: &str, field: &str| recorded(&doc, &path, probe, field);
+    eprintln!(
+        "# perf --check: {} with tolerance {tolerance}x over recorded values",
+        path.display()
+    );
     let config = SimConfig::for_class(LinkClass::Medium);
     let run = |name: &str| probe.is_none() || probe == Some(name);
     let mut checked = 0u32;
 
     // Throughput floor: measured flits/sec >= recorded / tolerance.
     let mut gate_fps = |name: &str, r: &SimBenchResult| {
-        let rec = recorded(&doc, name, "flits_per_sec");
+        let rec = recorded(name, "flits_per_sec");
         let floor = rec / tolerance;
         let got = r.flits_per_sec();
         assert!(
@@ -659,7 +723,7 @@ fn check(probe: Option<&str>, samples: usize) {
 
     // Latency ceilings: measured time <= recorded * tolerance.
     if run("sim_5000_cycles_midload") {
-        let rec = recorded(&doc, "sim_5000_cycles_midload", "median_ms");
+        let rec = recorded("sim_5000_cycles_midload", "median_ms");
         let limit = rec * tolerance;
         let got = sim5000_stats(samples).median_ms;
         assert!(
@@ -673,7 +737,7 @@ fn check(probe: Option<&str>, samples: usize) {
         checked += 1;
     }
     if run("obs_overhead") {
-        let rec = recorded(&doc, "obs_overhead", "noop_median_ms");
+        let rec = recorded("obs_overhead", "noop_median_ms");
         let limit = rec * tolerance;
         let got = obs_overhead(samples).noop_median_ms;
         assert!(
@@ -685,7 +749,7 @@ fn check(probe: Option<&str>, samples: usize) {
         checked += 1;
     }
     if run("serving_horizon") {
-        let rec = recorded(&doc, "serving_horizon", "median_ms");
+        let rec = recorded("serving_horizon", "median_ms");
         let limit = rec * tolerance;
         let got = serving_horizon_stats(samples).median_ms;
         assert!(
@@ -697,7 +761,7 @@ fn check(probe: Option<&str>, samples: usize) {
         checked += 1;
     }
     if run("suite_quick") {
-        let rec = recorded(&doc, "suite_quick", "seconds");
+        let rec = recorded("suite_quick", "seconds");
         let limit = rec * tolerance;
         let got = suite_quick_seconds();
         assert!(
@@ -715,7 +779,8 @@ fn check(probe: Option<&str>, samples: usize) {
 fn usage() -> ! {
     eprintln!(
         "usage: perf [--record | --check] [--probe <name>] [--samples <n>]\n\
-         probes: {}",
+         probes: {}\n\
+         env: PERF_CHECK_TOLERANCE=<factor >= 1> (--check only, default {DEFAULT_TOLERANCE})",
         PROBES.join(", ")
     );
     std::process::exit(2);
@@ -750,8 +815,53 @@ fn main() {
         }
     }
     if mode_check {
-        check(probe.as_deref(), samples);
+        let tolerance = match std::env::var("PERF_CHECK_TOLERANCE") {
+            Ok(raw) => parse_tolerance(&raw).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                usage()
+            }),
+            Err(std::env::VarError::NotPresent) => DEFAULT_TOLERANCE,
+            Err(e) => {
+                eprintln!("PERF_CHECK_TOLERANCE: {e}");
+                usage()
+            }
+        };
+        check(probe.as_deref(), samples, tolerance);
     } else {
         record(probe.as_deref(), samples);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tolerance_must_be_a_finite_factor_of_at_least_one() {
+        assert_eq!(parse_tolerance("1.3"), Ok(1.3));
+        assert_eq!(parse_tolerance("1"), Ok(1.0));
+        assert!(parse_tolerance("1,5").is_err(), "decimal comma");
+        assert!(parse_tolerance("0.5").is_err(), "below 1");
+        assert!(parse_tolerance("NaN").is_err());
+        assert!(parse_tolerance("inf").is_err());
+        assert!(parse_tolerance("-2").is_err());
+        assert!(parse_tolerance("").is_err());
+    }
+
+    #[test]
+    fn newest_bench_file_is_chosen_by_number() {
+        let names = ["BENCH_9.json", "README.md", "BENCH_10.json", "BENCH_2.json"];
+        assert_eq!(newest_bench(names), Some("BENCH_10.json"));
+        assert_eq!(
+            newest_bench([
+                "BENCH_10.json.bak",
+                "BENCH_.json",
+                "BENCH_x.json",
+                "BENCH_+3.json"
+            ]),
+            None
+        );
+        assert_eq!(newest_bench(["Cargo.toml"]), None);
+        assert_eq!(bench_number("BENCH_007.json"), Some(7));
     }
 }

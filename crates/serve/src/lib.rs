@@ -19,8 +19,9 @@
 //! published through [`netsmith_obs`].
 //!
 //! Everything is deterministic: the report is a pure function of the
-//! prepared network, the config, and the seeds — bit-identical across
-//! worker-pool widths and exactly replayable, which the proptests pin.
+//! prepared network, the config, and the seeds — bit-identical on
+//! whichever thread or pool worker plays it and exactly replayable, which
+//! the proptests pin.
 //!
 //! ```
 //! use netsmith_route::paths::all_shortest_paths;

@@ -31,6 +31,8 @@
 //! same switching model, the comparisons the paper makes — who saturates
 //! first, by roughly what factor — are preserved.
 
+#![forbid(unsafe_code)]
+
 pub mod activity;
 pub mod compile;
 pub mod config;
@@ -41,7 +43,7 @@ pub mod sweep;
 
 pub use activity::{ActivityProfile, LinkActivity, RouterActivity};
 pub use compile::CompiledNetwork;
-pub use config::{InjectionMode, PacketClass, ParallelMode, SimConfig};
+pub use config::{PacketClass, SimConfig};
 pub use inject::{InjectionEvent, InjectionSchedule};
 pub use netsmith_trace::{Trace, TraceCursor};
 pub use network::{

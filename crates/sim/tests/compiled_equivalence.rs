@@ -2,14 +2,14 @@
 //! (`NetworkSim::run`) must produce bit-identical `SimReport`s —
 //! including the full `ActivityProfile` — to the pre-rework scan-based
 //! loop (`NetworkSim::run_reference`) across random topologies, traffic
-//! patterns, loads and failed-router masks.  `SimReport`'s derived
+//! patterns, loads and failed-router masks, and on the 48-router fabrics
+//! the load sweeps run on.  `SimReport`'s derived
 //! `PartialEq` compares every counter and every float exactly, so any
 //! divergence in event order, tie-breaking or arithmetic shows up here.
 
-use netsmith_pool::WorkerPool;
 use netsmith_route::paths::all_shortest_paths;
-use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
-use netsmith_sim::{InjectionMode, NetworkSim, ParallelMode, SimConfig, Trace};
+use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig, RoutingTable};
+use netsmith_sim::{NetworkSim, SimConfig, Trace};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, Topology};
 use netsmith_trace::TraceModel;
@@ -147,9 +147,8 @@ proptest! {
     /// the same precomputed per-source schedule (the compiled engine by
     /// jumping idle stretches, the reference by polling it every cycle),
     /// so the reports must stay bit-identical across topologies ×
-    /// patterns × loads.  `InjectionMode::Schedule` is the default; this
-    /// test pins it explicitly so a default flip can't silently narrow
-    /// the coverage.
+    /// patterns × loads — with the compiled engine's epoch probe on, so
+    /// the probe's bookkeeping across jumped stretches is exercised too.
     #[test]
     fn schedule_mode_engines_consume_one_schedule_bit_identically(
         topo_choice in 0u8..5,
@@ -166,75 +165,13 @@ proptest! {
             .vcs(&alloc)
             .pattern(pattern(pattern_choice))
             .config(SimConfig {
-                injection: InjectionMode::Schedule,
+                epoch_cycles: 200,
                 ..equivalence_config(seed)
             })
             .build();
-        prop_assert_eq!(sim.run(load), sim.run_reference(load));
-    }
-
-    /// The compatibility draw order (one shared stream, one coin per
-    /// alive source per cycle) must also agree between the engines.
-    #[test]
-    fn legacy_coin_mode_engines_stay_bit_identical(
-        topo_choice in 0u8..5,
-        pattern_choice in 0u8..5,
-        seed in 0u64..100_000,
-        load in 0.02f64..1.0,
-    ) {
-        let topo = topology(topo_choice, &[]);
-        let paths = all_shortest_paths(&topo);
-        let table = mclb_route(&paths, &MclbConfig::default());
-        let alloc = allocate_vcs(&table, 6, 11).unwrap();
-        let sim = NetworkSim::builder(&topo, &table)
-            .vcs(&alloc)
-            .pattern(pattern(pattern_choice))
-            .config(SimConfig {
-                injection: InjectionMode::LegacyCoins,
-                ..equivalence_config(seed)
-            })
-            .build();
-        prop_assert_eq!(sim.run(load), sim.run_reference(load));
-    }
-
-    /// Deterministic intra-simulation parallelism: forcing the parallel
-    /// arbitration path onto pools of 1, 2 and 8 workers must reproduce
-    /// the sequential run bit-for-bit — the full `SimReport`, including
-    /// the `ActivityProfile` and the epoch-probe time-series (enabled
-    /// here so per-epoch counters are compared too, not just the window
-    /// totals).
-    #[test]
-    fn forced_parallel_runs_are_bit_identical_across_worker_counts(
-        topo_choice in 0u8..5,
-        pattern_choice in 0u8..5,
-        seed in 0u64..100_000,
-        load in 0.02f64..1.0,
-    ) {
-        let topo = topology(topo_choice, &[]);
-        let paths = all_shortest_paths(&topo);
-        let table = mclb_route(&paths, &MclbConfig::default());
-        let alloc = allocate_vcs(&table, 6, 11).unwrap();
-        let base = SimConfig {
-            epoch_cycles: 200,
-            ..equivalence_config(seed)
-        };
-        let sequential = NetworkSim::builder(&topo, &table)
-            .vcs(&alloc)
-            .pattern(pattern(pattern_choice))
-            .config(SimConfig { parallel: ParallelMode::Off, ..base.clone() })
-            .build();
-        let expected = sequential.run(load);
-        prop_assert!(expected.epochs.is_some());
-        for workers in [1usize, 2, 8] {
-            let pool = WorkerPool::new(workers);
-            let parallel = NetworkSim::builder(&topo, &table)
-                .vcs(&alloc)
-                .pattern(pattern(pattern_choice))
-                .pool(&pool)
-                .config(SimConfig { parallel: ParallelMode::Force, ..base.clone() })
-                .build();
-            prop_assert_eq!(&parallel.run(load), &expected, "workers {}", workers);
-        }
+        let mut probed = sim.run(load);
+        prop_assert!(probed.epochs.take().is_some());
+        prop_assert_eq!(probed, sim.run_reference(load));
     }
 }
 
@@ -309,4 +246,38 @@ fn single_message_trace_is_replayed_exactly() {
     assert_eq!(report.packets_ejected, 10);
     assert!((report.injected_flits_per_node_cycle - 0.01).abs() < 1e-9);
     assert_eq!(report.packets_unfinished, 0);
+}
+
+/// Compiled vs reference on one 48-router fabric at a low, a mid and a
+/// past-saturation load, over the default (full-length) windows.
+fn assert_48_router_equivalence(topo: &Topology, table: &RoutingTable) {
+    let alloc = allocate_vcs(table, 6, 11).unwrap();
+    let sim = NetworkSim::builder(topo, table)
+        .vcs(&alloc)
+        .config(SimConfig {
+            seed: 48,
+            ..SimConfig::default()
+        })
+        .build();
+    for load in [0.05, 0.3, 0.7] {
+        assert_eq!(sim.run(load), sim.run_reference(load), "load {load}");
+    }
+}
+
+/// The 8x6 folded torus under NDBT, one of the fabrics the 48-router load
+/// sweeps run on.
+#[test]
+fn folded_torus_8x6_under_ndbt_matches_reference() {
+    let layout = Layout::noi_8x6();
+    let topo = expert::folded_torus(&layout);
+    let (table, _) = ndbt_route(&layout, &all_shortest_paths(&topo), 7);
+    assert_48_router_equivalence(&topo, &table);
+}
+
+/// An 8x6 fabric under MCLB.
+#[test]
+fn kite_medium_8x6_under_mclb_matches_reference() {
+    let topo = expert::kite_medium(&Layout::noi_8x6());
+    let table = mclb_route(&all_shortest_paths(&topo), &MclbConfig::default());
+    assert_48_router_equivalence(&topo, &table);
 }
